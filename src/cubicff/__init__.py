@@ -2,7 +2,9 @@
 Galois and irreducibility criteria, explicit Galois actions, ramification,
 genus, place splitting, and integral bases."""
 
-from . import action, cfftool, galoiskit, gfq, intbasis, normalform, placegeom, polyrat
+# cfftool is not imported here: `python -m cubicff.cfftool` would then find
+# it in sys.modules before running it as __main__, and warn
+from . import action, galoiskit, gfq, intbasis, normalform, placegeom, polyrat
 
 __all__ = [
     "gfq",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse error, 3 violated mathematical hypothesis.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -176,12 +177,9 @@ def _is_irreducible_canon(canon: nf.CanonicalCubic, diagnostics) -> bool:
             return res
         except CubicFFError:
             diagnostics.append("irreducibility: rational-root search (no norm form)")
-            return gk.is_irreducible_standard_oracle(canon.param)
-    e, f, g = canon.polynomial_coeffs()
-    diagnostics.append("irreducibility: rational-root search")
-    if g.is_zero():
-        return False
-    return not ringops.cubic_has_rational_root(e, f, g)
+    else:
+        diagnostics.append("irreducibility: rational-root search")
+    return not ringops.cubic_has_rational_root(*canon.polynomial_coeffs())
 
 
 def cli_analyze(args) -> dict:
@@ -197,13 +195,16 @@ def cli_analyze(args) -> dict:
         f = rat_parse(F, args.f or "0")
         g = rat_parse(F, args.g or "0")
         report["input"] = {"kind": "cubic", "e": rat_str(e), "f": rat_str(f), "g": rat_str(g)}
+        # normalize raises ReducibleInput unless its rational-root search
+        # proves the cubic irreducible, so it is not checked again below
         canon = nf.normalize(nf.CubicInput(e, f, g))
         diagnostics.append("normalized from raw coefficients")
+        diagnostics.append("irreducibility: rational-root search")
     else:
         raise ParseError("provide --a or --e/--f/--g")
     report["canonical"] = _canonical_json(canon)
 
-    irreducible = _is_irreducible_canon(canon, diagnostics)
+    irreducible = args.a is None or _is_irreducible_canon(canon, diagnostics)
     report["irreducible"] = irreducible
     if not irreducible:
         report["galois"] = None
@@ -468,9 +469,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built once per process on first use (not at
+    import, which stays cheap)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.func(args)
     except ParseError as exc:

@@ -308,7 +308,8 @@ def is_irreducible_standard(a: RatFunc) -> bool:
 
 
 def is_irreducible_standard_oracle(a: RatFunc) -> bool:
-    """Independent irreducibility oracle: brute-force rational-root search."""
+    """Independent irreducibility oracle for the tests: brute-force
+    rational-root search, which the production path never calls."""
     return ringops.standard_form_rational_root(a) is None
 
 
@@ -347,10 +348,3 @@ def is_constant_extension(canon: nf.CanonicalCubic) -> bool:
             raise ReducibleInput("cube test shows the generator polynomial is reducible")
         return True
     raise ReducibleInput("no constant-extension test for this variant")
-
-
-def is_irreducible_cubic(inp: nf.CubicInput) -> bool:
-    """Rational-root irreducibility test for a general cubic over F_q(x)."""
-    if inp.g.is_zero():
-        return False
-    return not ringops.cubic_has_rational_root(inp.e, inp.f, inp.g)

@@ -6,8 +6,11 @@
 * Generic dense polynomials whose coefficients are RatFunc values (used for
   eliminations in y or in an auxiliary variable).
 * 3x3 exact linear algebra over F_q(x).
+* The rational roots of a cubic over F_q(x), by Newton lifting at a place
+  where the discriminant does not vanish (the production root finder).
 * Brute-force rational-root oracles for quadratics and cubics over F_q(x),
-  independent of the norm-form theory they are used to check.
+  independent of the norm-form theory and of the root finder they are used
+  to check in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from . import gfq
 from .errors import ReducibleInput, ZeroInput
-from .polyrat import FqPoly, RatFunc
+from .polyrat import FqPoly, RatFunc, poly_cube_root, poly_sqrt
 
 # -- generic polynomials over RatFunc coefficients --------------------------------
 
@@ -343,19 +346,155 @@ class RingElem:
         return f"RingElem({c0} + ({c1})*y + ({c2})*y^2)"
 
 
-# -- divisor enumeration -----------------------------------------------------------
+# -- rational roots by Newton lifting ------------------------------------------------
 
 
-def monic_divisors(f: FqPoly, cap=None):
-    """All monic divisors of a nonzero polynomial (iterator, canonical order)."""
+def cubic_has_rational_root(e: RatFunc, f: RatFunc, g: RatFunc) -> bool:
+    """Does X^3 + e X^2 + f X + g have a root in F_q(x)?"""
+    return bool(cubic_roots(e, f, g))
+
+
+def cubic_roots(e: RatFunc, f: RatFunc, g: RatFunc) -> list:
+    """The distinct roots in F_q(x) of X^3 + e X^2 + f X + g, sorted by key.
+
+    With D the least common denominator of e, f, g, the substitution
+    Y = D X gives the monic T(Y) = Y^3 + a2 Y^2 + a1 Y + a0 over F_q[x]
+    (a2 = De, a1 = D^2 f, a0 = D^3 g), whose rational roots are polynomials
+    of degree at most max(deg a2, deg a1 / 2, deg a0 / 3).  Those are found
+    by Newton lifting at a place where disc(T) does not vanish, or in closed
+    form when disc(T) = 0; every candidate is verified exactly.  Polynomial
+    time, against the exponential divisor enumeration of
+    `cubic_rational_roots`, which the tests keep as the reference.
+    """
+    den = e.den
+    for d in (f.den, g.den):
+        den = den * (d // den.gcd(d))
+    a2 = e.num * (den // e.den)
+    a1 = f.num * (den // f.den) * den
+    a0 = g.num * (den // g.den) * den * den
+    disc = a2 * a2 * a1 * a1 - 4 * a1**3 - 4 * a2**3 * a0 - 27 * a0 * a0 + 18 * a2 * a1 * a0
+    if disc.is_zero():
+        candidates = _repeated_root_candidates(a2, a1, a0)
+    else:
+        candidates = _lifted_root_candidates(a2, a1, a0, disc)
+    roots = {y for y in candidates if (((y + a2) * y + a1) * y + a0).is_zero()}
+    return sorted((RatFunc(y, den) for y in roots), key=RatFunc.key)
+
+
+def _repeated_root_candidates(a2: FqPoly, a1: FqPoly, a0: FqPoly) -> list:
+    """Every root in F_q[x] of T = Y^3 + a2 Y^2 + a1 Y + a0 with disc(T) = 0,
+    among at most two candidates in closed form: the repeated root rho and
+    the other root -a2 - 2 rho."""
+    F = a2.field
+    if F.p == 2:
+        # disc = (a0 + a1 a2)^2, so T = (Y^2 + a1)(Y + a2): the repeated
+        # root is the square root of a1, which may not be rational
+        rho = poly_sqrt(a1)
+        return [a2] if rho is None else [a2, rho]
+    lead = 3 * a1 - a2 * a2
+    if not lead.is_zero():
+        # the root of the linear T mod T' for p > 3, of T' = a1 - a2 Y for p = 3
+        rho = (a1 * a2 - 9 * a0) // (2 * lead)
+    elif F.p == 3:
+        # a2 = 0, and disc = -a1^3 forces a1 = 0: T = Y^3 + a0 is inseparable
+        rho = poly_cube_root(-a0)
+        return [] if rho is None else [rho]
+    else:
+        rho = a2.scale(F.neg(F.inv(F.scalar(3))))  # T = (Y - rho)^3
+    return [rho, -a2 - 2 * rho]
+
+
+def _lifted_root_candidates(a2: FqPoly, a1: FqPoly, a0: FqPoly, disc: FqPoly) -> list:
+    """At most three polynomials among which are all the roots in F_q[x] of
+    T = Y^3 + a2 Y^2 + a1 Y + a0, for disc(T) != 0.
+
+    At a point c with disc(c) != 0 (in an extension of F_q when every point
+    of F_q is a zero of disc), each root of T mod (x - c) is simple and
+    lifts by Newton's iteration to the one root of T in K[[x - c]] that
+    reduces to it; mod (x - c)^k with k past the degree bound, that series
+    is the root itself when the root is a polynomial.
+    """
+    F = a2.field
+    bound = max(
+        (-(-a.degree // i) for i, a in ((1, a2), (2, a1), (3, a0)) if not a.is_zero()),
+        default=0,
+    )
+    K, emb, c = _nonzero_point(disc)
+    coeffs = [a if emb is None else a.map_coeffs(emb, K) for a in (a2, a1, a0)]
+    coeffs = [_shift_variable(a, c) for a in coeffs]  # polynomials in t = x - c
+    reduced = FqPoly(K, [a.constant_code() for a in reversed(coeffs)] + [K.one])
+    out = []
+    for r in reduced.roots():
+        y = _shift_variable(_newton_lift(coeffs, r, bound + 1), K.neg(c))
+        if emb is not None:
+            codes = [emb.preimage(code) for code in y.coeffs]
+            if None in codes:
+                continue
+            y = FqPoly(F, codes)
+        out.append(y)
+    return out
+
+
+def _nonzero_point(disc: FqPoly):
+    """(K, embedding of F_q into K or None, c) with c the first point of K
+    where disc does not vanish; K is F_q itself, or else F_{q^s} for the
+    smallest s that has such a point."""
+    F = disc.field
+    K, emb, s = F, None, 1
+    while True:
+        image = disc if emb is None else disc.map_coeffs(emb, K)
+        c = next((c for c in range(K.q) if image.evaluate(c)), None)
+        if c is not None:
+            return K, emb, c
+        s += 1
+        K = gfq.make_field(F.p, F.n * s)
+        emb = gfq.embed_field(F, K)
+
+
+def _shift_variable(f: FqPoly, c) -> FqPoly:
+    """f(x + c)."""
+    if c == 0:
+        return f
+    K = f.field
+    step = FqPoly(K, (c, K.one))
+    acc = FqPoly.zero(K)
+    for code in reversed(f.coeffs):
+        acc = acc * step + FqPoly.const(K, code)
+    return acc
+
+
+def _newton_lift(coeffs, r, k) -> FqPoly:
+    """The root mod t^k of Y^3 + a2 Y^2 + a1 Y + a0, coeffs = (a2, a1, a0)
+    in K[t], that is r at t = 0; r must be a simple root there."""
+    K = coeffs[0].field
+    y, prec = FqPoly.const(K, r), 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        a2, a1, a0 = (_truncate(a, prec) for a in coeffs)
+        value = _truncate((_truncate((y + a2) * y, prec) + a1) * y, prec) + a0
+        slope = _truncate((3 * y + 2 * a2) * y, prec) + a1
+        _, inverse, _ = slope.xgcd(FqPoly.one(K).shift(prec))  # slope is a unit mod t^prec
+        y = y - _truncate(value * inverse, prec)
+    return y
+
+
+def _truncate(f: FqPoly, k) -> FqPoly:
+    """f mod t^k."""
+    return FqPoly(f.field, f.coeffs[:k])
+
+
+# -- divisor enumeration (test oracle) ---------------------------------------------
+
+
+def monic_divisors(f: FqPoly):
+    """All monic divisors of a nonzero polynomial, in canonical order.
+
+    Exponential in the number of factors: a test oracle, not for the
+    production path.
+    """
     fac = f.factor()
     primes = [(p, e) for p, e in fac]
     exps = [range(e + 1) for _, e in primes]
-    count = 1
-    for _, e in primes:
-        count *= e + 1
-        if cap is not None and count > cap:
-            return None
     divisors = []
     for combo in itertools.product(*exps):
         d = FqPoly.one(f.field)
@@ -366,14 +505,15 @@ def monic_divisors(f: FqPoly, cap=None):
     return divisors
 
 
-# -- rational-root oracles -----------------------------------------------------------
+# -- rational-root oracles (tests only) -------------------------------------------
 
 
 def quadratic_rational_root(B: RatFunc, C: RatFunc):
     """A root in F_q(x) of X^2 + B X + C, by divisor enumeration; None if none.
 
-    Deliberately avoids square roots and Artin-Schreier solvers so it can
-    serve as an independent oracle.
+    Test oracle: deliberately avoids square roots and Artin-Schreier solvers
+    so it is independent of the criteria it checks.  Exponential; the
+    production path never calls it.
     """
     field = B.field
     if C.is_zero():
@@ -396,10 +536,13 @@ def quadratic_rational_root(B: RatFunc, C: RatFunc):
     return None
 
 
-def cubic_rational_roots(c3: RatFunc, c2: RatFunc, c1: RatFunc, c0: RatFunc, first_only=False):
+def cubic_rational_roots(c3: RatFunc, c2: RatFunc, c1: RatFunc, c0: RatFunc):
     """Rational roots of c3 X^3 + c2 X^2 + c1 X + c0 over F_q(x).
 
-    Standard rational-root enumeration after clearing denominators; complete.
+    Test oracle: standard rational-root enumeration after clearing
+    denominators; complete, but exponential in the number of factors of the
+    extreme coefficients.  The reference `cubic_roots` is checked against;
+    the production path never calls it.
     """
     field = c3.field
     den = c3.den * c2.den * c1.den * c0.den
@@ -409,12 +552,12 @@ def cubic_rational_roots(c3: RatFunc, c2: RatFunc, c1: RatFunc, c0: RatFunc, fir
     q = field.q
     if p0.is_zero():
         roots.append(RatFunc.zero(field))
-        if first_only:
-            return roots
-        # divide through by X and recurse on the quadratic
+        # divide through by X: the quadratic's roots are r and -p2/p3 - r
         r = quadratic_rational_root(RatFunc(p2, p3), RatFunc(p1, p3))
-        if r is not None and not any(r == s for s in roots):
-            roots.append(r)
+        if r is not None:
+            for cand in (r, -RatFunc(p2, p3) - r):
+                if not any(cand == s for s in roots):
+                    roots.append(cand)
         return roots
     for d in monic_divisors(p3):
         for m in monic_divisors(p0):
@@ -425,15 +568,7 @@ def cubic_rational_roots(c3: RatFunc, c2: RatFunc, c1: RatFunc, c0: RatFunc, fir
                     cand = RatFunc(n, d)
                     if not any(cand == s for s in roots):
                         roots.append(cand)
-                        if first_only:
-                            return roots
     return roots
-
-
-def cubic_has_rational_root(e: RatFunc, f: RatFunc, g: RatFunc) -> bool:
-    """Does X^3 + e X^2 + f X + g have a root in F_q(x)?"""
-    one = RatFunc.one(e.field)
-    return bool(cubic_rational_roots(one, e, f, g, first_only=True))
 
 
 def _lagrange_interpolate(K, points, values):
@@ -456,17 +591,16 @@ def _lagrange_interpolate(K, points, values):
 def standard_form_rational_root(a: RatFunc, combo_cap=6000):
     """A root in F_q(x) of X^3 - 3X - a, or None.
 
-    Independent oracle: a root n/d in lowest terms forces d^3 = den(a) (up
-    to the monic normalization), so the denominator must be a perfect cube;
-    the numerator branch is then found by evaluation at deg-bound + 1 sample
-    points and interpolation of each root branch, falling back to divisor
-    enumeration if the branch count explodes.
+    Test oracle, independent of the norm-form criterion: a root n/d in
+    lowest terms forces d^3 = den(a) (up to the monic normalization), so the
+    denominator must be a perfect cube; the numerator branch is then found
+    by evaluation at deg-bound + 1 sample points and interpolation of each
+    root branch, falling back to divisor enumeration if the branch count
+    explodes.  The production path never calls it.
     """
     field = a.field
     if a.is_zero():
         return RatFunc.zero(field)
-    from .polyrat import poly_cube_root
-
     Q = a.den
     P = a.num
     g = poly_cube_root(Q)

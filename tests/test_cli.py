@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
-from cubicff import cfftool
+import pytest
+
+import cubicff
+from cubicff import cfftool, galoiskit, ringops
 from cubicff import action as act
 from cubicff.polyrat import rat_parse
 
@@ -181,3 +188,78 @@ def test_explicit_field_flags(capsys):
     rc, rep = run(capsys, "analyze", "--p", "2", "--n", "3", "--modulus", "t^3+t+1", "--a", "x")
     assert rc == 0
     assert rep["field"]["q"] == 8
+
+
+# the report of the q = 4 input below as divisor enumeration produced it
+# (in 1.46 s); the Newton-lifting root finder must reproduce it byte for byte
+Q4_RAW_REPORT = (
+    '{"schema": "cubicff/1", "field": {"p": 2, "n": 2, "q": 4, "modulus": "t^2+t+1"}, '
+    '"input": {"kind": "cubic", "e": "x", "f": "x^2+1", "g": "x^5+x+1"}, '
+    '"canonical": {"variant": "StandardForm", "parameter": "(x^20+x^16+x^12+x^8+x^6+x^2+1)/(x^18+x^16+x^13+x^9+x^8+x^6+x^5+x^4+x^3+x+1)", '
+    '"chain": [{"op": "moebius", "c1": "1", "c2": "0", "c3": "(x^2+1)/(x^5+x+1)", '
+    '"c4": "1"}, {"op": "scale", "c": "(x^5+x^3+1)/(x^6+x^4+x^2+x+1)"}, '
+    '{"op": "shift", "c": "1"}, {"op": "scale", "c": "1"}]}, "irreducible": true, '
+    '"galois": false, "closure": {"kind": "StandardTimesArtinSchreierQuadratic", '
+    '"quadratic": "X^2 + (1)*X + ((x^40+x^36+x^26+x^24+x^18+x^10+x^8+x^6+x^4+x^2)/(x^40+x^32+x^24+x^16+x^12+x^4+1))"}, '
+    '"constant_extension": false, "diagnostics": ["normalized from raw coefficients", '
+    '"irreducibility: rational-root search"]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--q", "4", "--e", "x", "--f", "x^2+1", "--g", "x^5+x+1"),
+        ("--q", "9", "--e", "x^2+1", "--f", "x^2+2*x+2", "--g", "x"),
+    ],
+)
+def test_analyze_raw_root_search_budget(capsys, argv):
+    """Raw cubics whose rational-root search once enumerated divisors for
+    seconds to minutes finish within 2 s."""
+    start = time.perf_counter()
+    rc = cfftool.main(["analyze", *argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert rc == 0 and elapsed < 2.0
+    rep = json.loads(out)
+    assert rep["irreducible"] is True
+    assert rep["diagnostics"][:2] == ["normalized from raw coefficients", "irreducibility: rational-root search"]
+    if argv[1] == "4":
+        assert out.strip() == Q4_RAW_REPORT
+
+
+def test_production_path_calls_no_oracle(capsys, monkeypatch):
+    """The brute-force rational-root searches are test oracles only."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a test oracle ran on the production path")
+
+    for name in ("monic_divisors", "quadratic_rational_root", "cubic_rational_roots", "standard_form_rational_root"):
+        monkeypatch.setattr(ringops, name, refuse)
+    monkeypatch.setattr(galoiskit, "is_irreducible_standard_oracle", refuse)
+    for argv in (
+        ("analyze", "--q", "5", "--e", "1", "--f", "x", "--g", "x^2+1"),  # raw, standard form
+        ("analyze", "--q", "4", "--e", "x", "--f", "x", "--g", "1"),  # raw, reducible
+        ("analyze", "--q", "3", "--e", "x", "--f", "1", "--g", "x+1"),  # raw, p = 3
+        ("analyze", "--q", "5", "--a", "x"),  # no norm form: rational-root fallback
+        ("analyze", "--q", "7", "--a", "x"),  # Kummer regime
+        ("irreducible", "--q", "3", "--a", "x^3-x"),  # reducible Artin-Schreier
+    ):
+        assert cfftool.main(list(argv)) in (0, 3), argv
+        capsys.readouterr()
+
+
+def test_module_entry_point_is_quiet():
+    """`python -m cubicff.cfftool` runs without a RuntimeWarning on stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cubicff.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicff.cfftool", "genus", "--q", "5", "--a", "(2*x^2+1)/(x^2+2)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["genus"] == 0
